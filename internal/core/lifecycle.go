@@ -235,18 +235,8 @@ func (p *Problem) RemoveCandidates(indices []int) error {
 // ForkDetached is Fork for sessions that will also mutate the source:
 // it clones I as well as J, so ApplySourceDelta on the fork never
 // affects problems sharing the original instances. Like Fork, the
-// returned problem is unprepared.
-func (p *Problem) ForkDetached() *Problem {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return &Problem{
-		I:            p.I.Clone(),
-		J:            p.J.Clone(),
-		Candidates:   p.Candidates,
-		Weights:      p.Weights,
-		CoverOptions: p.CoverOptions,
-	}
-}
+// returned problem carries a copy of the prepared evidence.
+func (p *Problem) ForkDetached() *Problem { return p.fork(true) }
 
 // MutationSeq returns the problem's mutation sequence number: it
 // advances once per evidence-changing lifecycle mutation (append,

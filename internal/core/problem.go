@@ -21,6 +21,7 @@ package core
 import (
 	"context"
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -78,7 +79,7 @@ type Problem struct {
 	CoverOptions cover.Options
 
 	prepareOnce sync.Once
-	prepared    bool
+	prepared    atomic.Bool // set once the evidence below is in place
 	jidx        *cover.JIndex
 	analyses    []cover.Analysis
 	incidence   *cover.Incidence
@@ -197,7 +198,7 @@ func (p *Problem) prepareWith(workers int, streaming bool) {
 		}
 		p.incidence = cover.BuildIncidence(p.jidx.Len(), p.analyses)
 		p.iVer, p.jVer = p.I.Version(), p.J.Version()
-		p.prepared = true
+		p.prepared.Store(true)
 	})
 }
 
@@ -267,27 +268,64 @@ func (p *Problem) AppendTarget(tuples []data.Tuple) (*TargetDelta, error) {
 	return delta, nil
 }
 
-// Fork returns an independent copy of the problem for private
-// mutation: it shares the immutable source instance and candidate set
-// but clones the target, so AppendTarget on the fork never affects the
-// original. This is the copy-on-append path of serving workloads: many
-// sessions share one prepared Problem for solves, and a session that
-// starts appending forks its own. The fork is unprepared — prepare it
-// with PrepareStreaming (or let the first solve/append do it).
+// Fork returns a session-private copy of the problem for mutation:
+// it shares the source instance and candidate set, clones the target,
+// and copies the prepared evidence, so the fork is born prepared and
+// its first AppendTarget or RemoveTarget is incremental rather than a
+// cold Prepare. This is the copy-on-append path of serving workloads:
+// many sessions share one prepared Problem for solves, and a session
+// that starts mutating forks its own. Mutations of either side never
+// show in the other.
+//
+// The copy is copy-on-write (see cover.Tracker.Clone): evidence that
+// is only ever replaced is shared, what is mutated in place is
+// copied, so a fork costs a memory pass over the evidence, not a
+// chase. The fork continues the parent's evidence epoch and mutation
+// sequence. It does not copy the retained collective grounding: its
+// first collective solve grounds cold, exactly as on a fresh Problem.
+// If the parent was prepared without PrepareStreaming, the fork's
+// first mutation builds the streaming state, as AppendTarget does on
+// such a problem; an unprepared or stale parent yields an unprepared
+// fork that prepares from its own instances.
 //
 // Fork is safe to call concurrently with Solve/Objective on the
-// original (those only read), and serialises against AppendTarget so
-// the target is never cloned mid-append.
-func (p *Problem) Fork() *Problem {
+// original (those only read), and serialises against the original's
+// mutations so nothing is copied mid-mutation.
+func (p *Problem) Fork() *Problem { return p.fork(false) }
+
+// fork is the one clone routine behind Fork and ForkDetached; detached
+// also clones the source instance.
+func (p *Problem) fork(detached bool) *Problem {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	return &Problem{
+	f := &Problem{
 		I:            p.I,
 		J:            p.J.Clone(),
 		Candidates:   p.Candidates,
 		Weights:      p.Weights,
 		CoverOptions: p.CoverOptions,
 	}
+	if detached {
+		f.I = p.I.Clone()
+	}
+	if !p.prepared.Load() || p.CheckFresh() != nil {
+		return f
+	}
+	// The instance clones keep their versions, so the parent's recorded
+	// versions describe the fork's instances too.
+	f.prepareOnce.Do(func() {
+		f.jidx = p.jidx.Clone()
+		f.analyses = slices.Clone(p.analyses)
+		f.incidence = p.incidence.Clone()
+		if p.tracker != nil {
+			f.tracker = p.tracker.Clone(f.jidx)
+		}
+		f.iVer, f.jVer = p.iVer, p.jVer
+		f.prepared.Store(true)
+	})
+	f.epoch.Store(p.epoch.Load())
+	f.mutSeq.Store(p.mutSeq.Load())
+	return f
 }
 
 // CheckFresh reports whether the prepared evidence still reflects the
@@ -296,7 +334,7 @@ func (p *Problem) Fork() *Problem {
 // through AppendTarget keep the problem fresh. Solvers call this after
 // their prepare phase.
 func (p *Problem) CheckFresh() error {
-	if !p.prepared {
+	if !p.prepared.Load() {
 		return nil
 	}
 	if p.I.Version() != p.iVer || p.J.Version() != p.jVer {

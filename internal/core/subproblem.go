@@ -82,7 +82,7 @@ func (p *Problem) Subproblem(candIdx, tupleIdx []int) *Problem {
 		sub.analyses = analyses
 		sub.incidence = cover.BuildIncidence(subIdx.Len(), analyses)
 		sub.iVer, sub.jVer = sub.I.Version(), sub.J.Version()
-		sub.prepared = true
+		sub.prepared.Store(true)
 	})
 	return sub
 }

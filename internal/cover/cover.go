@@ -33,6 +33,7 @@
 package cover
 
 import (
+	"maps"
 	"runtime"
 	"sort"
 	"sync"
@@ -89,6 +90,15 @@ func (ix *JIndex) Append(tuples []data.Tuple) {
 	for i := base; i < len(ix.Tuples); i++ {
 		ix.byKey[ix.Tuples[i].Key()] = i
 	}
+}
+
+// Clone returns an independent copy of the index for a forked
+// problem: appends and removals on either side never show in the
+// other (see data.Index.Clone for the sharing rules).
+func (ix *JIndex) Clone() *JIndex {
+	c := &JIndex{idx: ix.idx.Clone(), byKey: maps.Clone(ix.byKey)}
+	c.Tuples = c.idx.Tuples()
+	return c
 }
 
 // Remove tombstones target tuples by id: IndexOf stops resolving them
@@ -494,6 +504,15 @@ func (inc *Incidence) Grow(nj int) {
 	for len(inc.starts) < nj+1 {
 		inc.starts = append(inc.starts, last)
 	}
+}
+
+// Clone returns an independent copy for a forked problem. The
+// candidate and degree arrays are never written after BuildIncidence
+// and are shared; the row offsets are capacity-limited, so a Grow on
+// either side reallocates.
+func (inc *Incidence) Clone() *Incidence {
+	n := len(inc.starts)
+	return &Incidence{starts: inc.starts[:n:n], cand: inc.cand, cov: inc.cov}
 }
 
 // Row returns the candidates covering J tuple j and their degrees,

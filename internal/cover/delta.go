@@ -34,6 +34,7 @@ package cover
 // it does for two cold analyses of differently-ordered instances.)
 
 import (
+	"slices"
 	"sort"
 	"sync"
 
@@ -157,6 +158,84 @@ func BuildTracker(I *data.Instance, jidx *JIndex, candidates tgd.Mapping, opts O
 	return t, analyses
 }
 
+// Clone returns an independent copy of the tracker over jidx (the
+// forked problem's clone of the tracked index), so a fork keeps the
+// retained state instead of re-running the chase. The copy is
+// copy-on-write: block tuples, block pair rows, block pattern caches
+// and candidate key lists are never written in place and are shared;
+// every trackedBlock (whose pairs and pattern cache are reassigned),
+// the per-candidate outer slices, and the inner error, embedded and
+// pattern lists (filtered in place with s[:0]) are copied.
+//
+// Clone first fills the receiver's lazy block-pattern and
+// error-pattern caches, so every clone inherits them instead of
+// building its own on its first Append. That writes to the receiver:
+// like every Tracker method, Clone must not overlap other uses of it.
+func (t *Tracker) Clone(jidx *JIndex) *Tracker {
+	t.fillPatternCaches()
+	arena := make([]trackedBlock, 0, len(t.blocks))
+	blocks := make(map[string]*trackedBlock, len(t.blocks))
+	//lint:commutative per-key copy into a fresh map; each key is stored once
+	for k, tb := range t.blocks {
+		arena = append(arena, *tb)
+		blocks[k] = &arena[len(arena)-1]
+	}
+	return &Tracker{
+		jidx:      jidx,
+		opts:      t.opts,
+		blocks:    blocks,
+		candKeys:  slices.Clone(t.candKeys),
+		errTuples: cloneInner(t.errTuples),
+		errPats:   cloneInner(t.errPats),
+		okTuples:  cloneInner(t.okTuples),
+		okPats:    cloneInner(t.okPats),
+	}
+}
+
+// fillPatternCaches computes every block and error pattern the lazy
+// caches still lack: exactly the values Append would compute.
+func (t *Tracker) fillPatternCaches() {
+	//lint:commutative per-block cache fill; each block is filled independently
+	for _, tb := range t.blocks {
+		if tb.reps == nil {
+			tb.pats, tb.reps = distinctPatterns(tb.tuples)
+		}
+	}
+	if t.errPats == nil {
+		t.errPats = make([][]string, len(t.errTuples))
+	}
+	for i, errs := range t.errTuples {
+		if t.errPats[i] == nil && len(errs) > 0 {
+			t.errPats[i] = canonPatterns(errs)
+		}
+	}
+}
+
+// cloneInner copies every inner slice of s into one shared backing
+// array, capacity-limiting each, so in-place filtering stays within a
+// slice's own range and an append reallocates. Nil inner slices stay
+// nil (the lazy caches use nil as "not computed").
+func cloneInner[T any](s [][]T) [][]T {
+	if s == nil {
+		return nil
+	}
+	n := 0
+	for _, in := range s {
+		n += len(in)
+	}
+	buf := make([]T, 0, n)
+	out := make([][]T, len(s))
+	for i, in := range s {
+		if in == nil {
+			continue
+		}
+		lo := len(buf)
+		buf = append(buf, in...)
+		out[i] = buf[lo:len(buf):len(buf)]
+	}
+	return out
+}
+
 // Append applies a target delta: it extends the tracker's JIndex with
 // the new tuples (which must already be deduped against the indexed
 // target), updates the analyses in place, and reports what changed.
@@ -268,10 +347,7 @@ func (t *Tracker) Append(delta []data.Tuple, analyses []Analysis, workers int) *
 	for i, errs := range t.errTuples {
 		pats := t.errPats[i]
 		if pats == nil && len(errs) > 0 {
-			pats = make([]string, len(errs))
-			for k, ct := range errs {
-				pats[k] = ct.CanonPattern()
-			}
+			pats = canonPatterns(errs)
 			t.errPats[i] = pats
 		}
 		kept := errs[:0]
@@ -315,6 +391,15 @@ func distinctPatterns(tuples []data.Tuple) (pats []string, reps []data.Tuple) {
 		reps = append(reps, bt)
 	}
 	return pats, reps
+}
+
+// canonPatterns returns the canonical pattern of every tuple.
+func canonPatterns(ts []data.Tuple) []string {
+	pats := make([]string, len(ts))
+	for k, ct := range ts {
+		pats[k] = ct.CanonPattern()
+	}
+	return pats
 }
 
 // pairsEqual reports exact equality of two sparse cover rows.

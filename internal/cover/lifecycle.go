@@ -150,10 +150,7 @@ func (t *Tracker) Remove(removed []data.Tuple, ids []int32, analyses []Analysis,
 	for i, oks := range t.okTuples {
 		pats := t.okPats[i]
 		if pats == nil && len(oks) > 0 {
-			pats = make([]string, len(oks))
-			for k, ct := range oks {
-				pats[k] = ct.CanonPattern()
-			}
+			pats = canonPatterns(oks)
 			t.okPats[i] = pats
 		}
 		kept := oks[:0]

@@ -6,6 +6,8 @@ package data
 
 import (
 	"fmt"
+	"maps"
+	"slices"
 	"sort"
 	"strings"
 )
@@ -288,12 +290,23 @@ func (in *Instance) All() []Tuple {
 	return out
 }
 
-// Clone returns a deep-enough copy (tuples are immutable by
-// convention, so slices are copied but tuples shared).
+// Clone returns an independent copy: later mutations of either side
+// never show in the other. Tuples are immutable by convention and
+// shared, and the copy re-derives no tuple key. Each relation slice is
+// capacity-limited, so an Add on either side reallocates instead of
+// writing into the shared backing array (Remove already builds a new
+// slice). The clone starts at the original's version, so a forked
+// core.Problem can keep the evidence recorded against the original.
 func (in *Instance) Clone() *Instance {
-	c := NewInstance()
-	for _, t := range in.All() {
-		c.Add(t)
+	c := &Instance{
+		rels:    make(map[string][]Tuple, len(in.rels)),
+		keys:    maps.Clone(in.keys),
+		order:   slices.Clone(in.order),
+		size:    in.size,
+		version: in.version,
+	}
+	for r, ts := range in.rels {
+		c.rels[r] = ts[:len(ts):len(ts)]
 	}
 	return c
 }

@@ -1,6 +1,7 @@
 package data
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -147,6 +148,61 @@ func TestInstanceCloneUnionEqual(t *testing.T) {
 	}
 	if a.Equal(b) {
 		t.Error("Equal false positive")
+	}
+}
+
+// Clone copies relation slices and the key set directly; it must stay
+// isolated in both directions, keep All() order, and keep counting
+// versions from the original's.
+func TestInstanceCloneIsolationOrderVersion(t *testing.T) {
+	a := NewInstance()
+	for _, tu := range []Tuple{
+		NewTuple("r", "1"), NewTuple("s", "x", "y"), NewTuple("r", "2"),
+		{Rel: "s", Args: []Value{Const("x"), NullValue("N1")}}, NewTuple("r", "3"),
+	} {
+		a.Add(tu)
+	}
+	// Leave spare capacity behind a relation slice, so an append that
+	// wrote into a shared backing array would show.
+	a.Remove(NewTuple("r", "3"))
+	a.Add(NewTuple("r", "3"))
+	b := a.Clone()
+	if got, want := fmt.Sprint(b.All()), fmt.Sprint(a.All()); got != want {
+		t.Fatalf("clone All() order %s, want %s", got, want)
+	}
+	if b.Version() != a.Version() {
+		t.Fatalf("clone version %d, want the original's %d", b.Version(), a.Version())
+	}
+
+	// Clone → original: adds and removes on the clone do not show.
+	before := fmt.Sprint(a.All())
+	v := b.Version()
+	b.Add(NewTuple("r", "4"))
+	b.Add(NewTuple("u", "new"))
+	b.Remove(NewTuple("s", "x", "y"))
+	if b.Version() != v+3 {
+		t.Fatalf("clone version after 3 mutations = %d, want %d", b.Version(), v+3)
+	}
+	if got := fmt.Sprint(a.All()); got != before || a.Len() != 5 || !a.Has(NewTuple("s", "x", "y")) || a.Has(NewTuple("r", "4")) {
+		t.Fatalf("original changed by clone mutations: %s (len %d)", got, a.Len())
+	}
+	if len(a.Relations()) != 2 {
+		t.Fatalf("original relations %v", a.Relations())
+	}
+
+	// Original → clone.
+	cloneView := fmt.Sprint(b.All())
+	av := a.Version()
+	a.Add(NewTuple("r", "5"))
+	a.Remove(NewTuple("r", "1"))
+	if a.Version() != av+2 {
+		t.Fatalf("original version after 2 mutations = %d, want %d", a.Version(), av+2)
+	}
+	if got := fmt.Sprint(b.All()); got != cloneView || b.Has(NewTuple("r", "5")) || !b.Has(NewTuple("r", "1")) {
+		t.Fatalf("clone changed by original mutations: %s", got)
+	}
+	if got, want := b.Len(), 6; got != want {
+		t.Fatalf("clone len %d, want %d", got, want)
 	}
 }
 

@@ -16,6 +16,8 @@ package data
 // differential tests in index_test.go and internal/cover pin the two
 // paths against each other, hom limits included.
 
+import "slices"
+
 // Index is a probe structure over one instance. Tuple ids are
 // positions in the Instance.All() order at build time; the index does
 // not observe later mutations of the instance, but Append extends it
@@ -77,6 +79,28 @@ func (ix *Index) Append(tuples []Tuple) {
 			ix.post[k] = append(ix.post[k], id)
 		}
 	}
+}
+
+// Clone returns an independent copy of the index, for a forked
+// target. Tuples and posting lists are shared but capacity-limited,
+// so an Append on either side reallocates rather than writing into
+// the other's backing array; the tombstone flags, which Remove sets in
+// place, are copied.
+func (ix *Index) Clone() *Index {
+	c := &Index{
+		tuples:  ix.tuples[:len(ix.tuples):len(ix.tuples)],
+		rels:    make(map[string][]int32, len(ix.rels)),
+		post:    make(map[postKey][]int32, len(ix.post)),
+		dead:    slices.Clone(ix.dead),
+		numDead: ix.numDead,
+	}
+	for r, ids := range ix.rels {
+		c.rels[r] = ids[:len(ids):len(ids)]
+	}
+	for k, ids := range ix.post {
+		c.post[k] = ids[:len(ids):len(ids)]
+	}
+	return c
 }
 
 // Remove tombstones the given ids: they stop appearing in Candidates

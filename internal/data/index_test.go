@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"strings"
 	"testing"
 )
 
@@ -165,6 +166,49 @@ func TestIndexCandidates(t *testing.T) {
 	// Arity mismatches never match.
 	if got := probe(Tuple{Rel: "r", Args: []Value{NullValue("N")}}); len(got) != 0 {
 		t.Errorf("arity-1 probe against arity-2 relation = %v, want none", got)
+	}
+}
+
+// Index.Clone shares posting lists capacity-limited and copies the
+// tombstones: appends and removals on either side never show in the
+// other's probes.
+func TestIndexCloneIsolation(t *testing.T) {
+	in := NewInstance()
+	in.Add(NewTuple("r", "a", "b"))
+	in.Add(NewTuple("r", "a", "c"))
+	ix := NewIndex(in)
+	// Leave spare capacity in the lists and a tombstone behind.
+	ix.Append([]Tuple{NewTuple("r", "a", "d"), NewTuple("r", "q", "q"), NewTuple("r", "q", "w")})
+	ix.Remove([]int32{3})
+	c := ix.Clone()
+	c.Remove([]int32{0})
+	// Probe a posting list, and the relation list an all-null tuple
+	// scans.
+	probe := func(ix *Index) string {
+		var out []string
+		for _, id := range ix.Candidates(Tuple{Rel: "r", Args: []Value{Const("a"), NullValue("N")}}) {
+			out = append(out, ix.Tuple(id).String())
+		}
+		all := ix.Candidates(Tuple{Rel: "r", Args: []Value{NullValue("N"), NullValue("M")}})
+		return fmt.Sprintf("%s | %d", strings.Join(out, " "), len(all))
+	}
+	// The two sides give the next id to different tuples, so a posting
+	// list written through by one side misleads the other's probes.
+	c.Append([]Tuple{NewTuple("r", "a", "clone")})
+	ix.Append([]Tuple{NewTuple("s", "z"), NewTuple("r", "a", "orig")})
+	if got, want := probe(ix), "r(a, b) r(a, c) r(a, d) r(a, orig) | 5"; got != want {
+		t.Errorf("original probe %q, want %q", got, want)
+	}
+	if got, want := probe(c), "r(a, c) r(a, d) r(a, clone) | 4"; got != want {
+		t.Errorf("clone probe %q, want %q", got, want)
+	}
+	if !ix.Live(0) || ix.NumDead() != 1 || c.Live(0) || c.NumDead() != 2 {
+		t.Errorf("tombstones leaked: original live(0)=%v dead=%d, clone live(0)=%v dead=%d",
+			ix.Live(0), ix.NumDead(), c.Live(0), c.NumDead())
+	}
+	ix.Remove([]int32{1})
+	if !c.Live(1) {
+		t.Error("original's removal tombstoned the clone's slot")
 	}
 }
 

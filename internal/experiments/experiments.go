@@ -1,7 +1,6 @@
 // Package experiments regenerates the paper's evaluation artifacts:
-// one function per table/figure (see DESIGN.md's experiment index),
-// each returning a Table that cmd/experiments renders and
-// EXPERIMENTS.md records. Scenario scales are configurable so the same
+// one function per table/figure, each returning a Table that
+// cmd/experiments renders. Scenario scales are configurable so the same
 // code backs both the full runs and the quick CI-sized runs used by
 // the benchmarks.
 package experiments

@@ -373,7 +373,7 @@ func (s *Server) handleAppend(w http.ResponseWriter, r *http.Request) {
 	sess.mu.Lock()
 	forked := false
 	if sess.shared {
-		s.fork(sess)
+		s.fork(sess, false)
 		forked = true
 	}
 	delta, err := sess.p.AppendTarget(tuples)
@@ -426,7 +426,7 @@ func (s *Server) handleRemove(w http.ResponseWriter, r *http.Request) {
 	if sess.shared {
 		// Copy-on-remove: the cache's shared problem must keep its full
 		// target for the other sessions.
-		s.fork(sess)
+		s.fork(sess, false)
 		forked = true
 	}
 	delta, err := sess.p.RemoveTarget(tuples)
@@ -485,7 +485,7 @@ func (s *Server) handleSourceDelta(w http.ResponseWriter, r *http.Request) {
 	if !sess.detached {
 		// Source deltas mutate I; even a forked problem still aliases
 		// the shared source instance, so detach on first use.
-		s.forkDetached(sess)
+		s.fork(sess, true)
 	}
 	// Count the effective changes against the pre-state (core applies
 	// adds before removes and skips duplicates and misses).
@@ -558,13 +558,28 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 
-	// The worker pool bounds solve concurrency across sessions; queue
-	// on it, but give up when the client goes away.
+	// timeoutMillis bounds the whole request, so its deadline starts
+	// before the slot wait.
+	ctx := r.Context()
+	if req.TimeoutMillis > 0 {
+		var cancel context.CancelFunc
+		ctx, cancel = context.WithTimeout(ctx, time.Duration(req.TimeoutMillis)*time.Millisecond)
+		defer cancel()
+	}
+	// The worker pool bounds solve concurrency across sessions. Queue
+	// on it until the deadline passes or the client goes away; a solve
+	// whose context ended in the queue never starts.
 	select {
 	case s.slots <- struct{}{}:
 		defer func() { <-s.slots }()
-	case <-r.Context().Done():
-		writeError(w, http.StatusRequestTimeout, r.Context().Err())
+	case <-ctx.Done():
+	}
+	if err := ctx.Err(); err != nil {
+		status := http.StatusRequestTimeout // the client went away
+		if errors.Is(err, context.DeadlineExceeded) {
+			status = http.StatusGatewayTimeout
+		}
+		writeError(w, status, fmt.Errorf("solve not started: %w", err))
 		return
 	}
 
@@ -588,13 +603,6 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 		}
 		sess.lastMu.Unlock()
 	}
-	ctx := r.Context()
-	if req.TimeoutMillis > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, time.Duration(req.TimeoutMillis)*time.Millisecond)
-		defer cancel()
-	}
-
 	start := time.Now()
 	sess.mu.RLock()
 	sel, err := solver.Solve(ctx, sess.p, opts...)

@@ -252,6 +252,91 @@ func TestConcurrentChurn(t *testing.T) {
 	}
 }
 
+// Forks copy the shared problem's evidence while other sessions solve
+// it: concurrent collective solves on a shared session (which build
+// and share its retained grounding) race sessions of the same scenario
+// that fork, append and remove. Every request succeeds, the shared
+// session keeps its target and its objective, and the race detector
+// (the CI race job runs this package) stays quiet.
+func TestConcurrentForksBesideSharedSolves(t *testing.T) {
+	s, ts := newTestServer(t, Config{})
+	sc := testScenario(t)
+
+	var shared createResponse
+	call(t, "POST", ts.URL+"/sessions", createRequest{Name: "test"}, &shared)
+	var ref solveResponse
+	if code := call(t, "POST", ts.URL+"/sessions/"+shared.ID+"/solve", solveRequest{Solver: "collective"}, &ref); code != http.StatusOK {
+		t.Fatalf("reference solve: status %d", code)
+	}
+
+	rel := sc.J.Relations()[0]
+	arity := len(sc.J.Tuples(rel)[0].Args)
+	var wg sync.WaitGroup
+	errs := make(chan error, 64)
+	for w := 0; w < 3; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 4; i++ {
+				var got solveResponse
+				if code := call(t, "POST", ts.URL+"/sessions/"+shared.ID+"/solve", solveRequest{Solver: "collective"}, &got); code != http.StatusOK {
+					errs <- fmt.Errorf("shared solve: status %d", code)
+					return
+				}
+				if got.Objective.Total != ref.Objective.Total {
+					errs <- fmt.Errorf("shared solve objective %g, want %g", got.Objective.Total, ref.Objective.Total)
+					return
+				}
+			}
+		}()
+	}
+	for w := 0; w < 3; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			var sess createResponse
+			if code := call(t, "POST", ts.URL+"/sessions", createRequest{Name: "test"}, &sess); code != http.StatusCreated {
+				errs <- fmt.Errorf("create: status %d", code)
+				return
+			}
+			for i := 0; i < 3; i++ {
+				args := make([]string, arity)
+				for a := range args {
+					args[a] = fmt.Sprintf("c:w%d-%d-%d", w, i, a)
+				}
+				var app appendResponse
+				if code := call(t, "POST", ts.URL+"/sessions/"+sess.ID+"/append",
+					appendRequest{Tuples: []wireTuple{{Rel: rel, Args: args}}}, &app); code != http.StatusOK || app.Forked != (i == 0) {
+					errs <- fmt.Errorf("append %d: status %d, forked %v", i, code, app.Forked)
+					return
+				}
+				if code := call(t, "POST", ts.URL+"/sessions/"+sess.ID+"/remove",
+					removeRequest{Tuples: []wireTuple{wireOf(sc.J.All()[w*3+i])}}, nil); code != http.StatusOK {
+					errs <- fmt.Errorf("remove %d: status %d", i, code)
+					return
+				}
+				if code := call(t, "POST", ts.URL+"/sessions/"+sess.ID+"/solve", solveRequest{Solver: "collective", Warm: i > 0}, nil); code != http.StatusOK {
+					errs <- fmt.Errorf("forked solve %d: status %d", i, code)
+					return
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Error(err)
+	}
+	var st statusResponse
+	call(t, "GET", ts.URL+"/sessions/"+shared.ID, nil, &st)
+	if !st.SharedPrepare || st.JTuples != sc.J.Len() {
+		t.Fatalf("shared session after concurrent forks: shared=%v, %d tuples, want %d", st.SharedPrepare, st.JTuples, sc.J.Len())
+	}
+	if got := s.Stats().Forks; got != 3 {
+		t.Fatalf("forks = %v, want 3", got)
+	}
+}
+
 // The routes table and the handler must agree — and the table must
 // contain the endpoints the docs audit expects.
 func TestRoutesMatchHandler(t *testing.T) {

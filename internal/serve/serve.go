@@ -8,8 +8,9 @@
 // prepared Problem safe to share across concurrent solves, and the
 // share is keyed by a content hash so equal uploads dedupe. The first
 // target mutation on a shared session forks a session-private Problem
-// (copy-on-append), after which appends and removals are incremental
-// delta-Prepares and re-solves warm-start from the session's last
+// (copy-on-append) that copies the shared prepared evidence, so that
+// mutation and every later append and removal are incremental
+// delta-Prepares, and re-solves warm-start from the session's last
 // selection. The first source delta forks further into a detached
 // problem (source instance cloned too), since shared sessions alias
 // the cache's source. See docs/LIFECYCLE.md for the mutation
@@ -155,6 +156,7 @@ type serveMetrics struct {
 	cacheHits       *metrics.Counter
 	cacheMisses     *metrics.Counter
 	prepareSeconds  *metrics.Histogram
+	forkSeconds     *metrics.Histogram
 	appendSeconds   *metrics.Histogram
 	appendedTuples  *metrics.Counter
 	removes         *metrics.Counter
@@ -213,10 +215,11 @@ func NewServer(cfg Config) *Server {
 		evictedIdle:     r.CounterWith("serve_sessions_evicted_total", "Sessions evicted by the server.", "reason", "idle"),
 		evictedLRU:      r.CounterWith("serve_sessions_evicted_total", "Sessions evicted by the server.", "reason", "lru"),
 		sessionsLive:    r.Gauge("serve_sessions_live", "Live sessions."),
-		forks:           r.Counter("serve_session_forks_total", "Shared sessions forked on first append."),
+		forks:           r.Counter("serve_session_forks_total", "Session-private problems forked (first target mutation, first source delta)."),
 		cacheHits:       r.Counter("serve_prepare_cache_hits_total", "Session creates that reused a prepared problem."),
 		cacheMisses:     r.Counter("serve_prepare_cache_misses_total", "Session creates that prepared a new problem."),
-		prepareSeconds:  r.Histogram("serve_prepare_seconds", "Prepare latency (cache misses and forks).", nil),
+		prepareSeconds:  r.Histogram("serve_prepare_seconds", "Prepare latency of prepared-problem cache misses.", nil),
+		forkSeconds:     r.Histogram("serve_fork_seconds", "Latency of forking a session-private problem (copy-on-write, no Prepare).", nil),
 		appendSeconds:   r.Histogram("serve_append_seconds", "AppendTarget latency.", nil),
 		appendedTuples:  r.Counter("serve_appended_tuples_total", "Target tuples appended."),
 		removes:         r.Counter("serve_removes_total", "Remove requests applied."),
@@ -393,7 +396,9 @@ func (e *cacheEntry) ensure(s *Server, weights core.Weights) (*core.Problem, *ib
 		p := core.NewProblem(sc.I, sc.J, sc.Candidates)
 		p.Weights = weights
 		start := time.Now()
-		p.PrepareN(s.cfg.Parallelism)
+		// Streaming state is retained so that every session's fork
+		// copies it instead of rebuilding it on its first mutation.
+		p.PrepareStreaming(s.cfg.Parallelism)
 		s.m.prepareSeconds.Observe(time.Since(start).Seconds())
 		e.sc, e.p = sc, p
 	})
@@ -480,35 +485,23 @@ func (s *Server) liveSessions() int {
 	return len(s.sessions)
 }
 
-// fork gives a shared session its private problem before the first
-// target mutation (copy-on-append). Callers hold sess.mu.
+// fork gives a session its private problem before its first mutation
+// (copy-on-append). A plain fork still aliases the shared source
+// instance, so a session's first source delta forks again with
+// detached set, which clones the source too. The fork copies the
+// prepared evidence, so no Prepare runs here. Callers hold sess.mu.
 //
-//lint:guarded-by-caller every caller holds sess.mu.Lock across the copy-on-append decision and the fork
-func (s *Server) fork(sess *session) {
-	forked := sess.p.Fork()
+//lint:guarded-by-caller every caller holds sess.mu.Lock across the copy-on-write decision and the fork
+func (s *Server) fork(sess *session, detached bool) {
 	start := time.Now()
-	forked.PrepareStreaming(s.cfg.Parallelism)
-	s.m.prepareSeconds.Observe(time.Since(start).Seconds())
-	sess.p = forked
+	if detached {
+		sess.p = sess.p.ForkDetached()
+		sess.detached = true
+	} else {
+		sess.p = sess.p.Fork()
+	}
+	s.m.forkSeconds.Observe(time.Since(start).Seconds())
 	sess.shared = false
-	s.m.forks.Inc()
-}
-
-// forkDetached gives a session a fully private problem — source
-// instance cloned as well — before its first source delta. A plain
-// fork still aliases the shared source instance, which a source delta
-// would mutate under every session of the scenario. Callers hold
-// sess.mu.
-//
-//lint:guarded-by-caller every caller holds sess.mu.Lock across the detach decision and the fork
-func (s *Server) forkDetached(sess *session) {
-	forked := sess.p.ForkDetached()
-	start := time.Now()
-	forked.PrepareStreaming(s.cfg.Parallelism)
-	s.m.prepareSeconds.Observe(time.Since(start).Seconds())
-	sess.p = forked
-	sess.shared = false
-	sess.detached = true
 	s.m.forks.Inc()
 }
 

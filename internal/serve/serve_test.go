@@ -331,6 +331,61 @@ func TestGracefulDrain(t *testing.T) {
 	}
 }
 
+// timeoutMillis bounds the whole request: with the only worker slot
+// held, a request whose deadline passes in the queue gets a 504 and
+// never runs.
+func TestSolveTimeoutCoversQueueWait(t *testing.T) {
+	release := make(chan struct{})
+	blockRelease.Store(release)
+	var releaseOnce sync.Once
+	free := func() { releaseOnce.Do(func() { close(release) }) }
+	// Were the deadline ignored in the queue, the queued request would
+	// wait for the slot until the client gave up: free it eventually,
+	// so that shows as a failure rather than a hang.
+	safety := time.AfterFunc(5*time.Second, free)
+	defer safety.Stop()
+	s, ts := newTestServer(t, Config{Workers: 1})
+	var created createResponse
+	call(t, "POST", ts.URL+"/sessions", createRequest{Name: "test"}, &created)
+
+	held := make(chan int, 1)
+	go func() {
+		held <- call(t, "POST", ts.URL+"/sessions/"+created.ID+"/solve", solveRequest{Solver: "block"}, nil)
+	}()
+	deadline := time.Now().Add(5 * time.Second)
+	for len(s.slots) == 0 {
+		if time.Now().After(deadline) {
+			t.Fatal("the blocking solve never took the worker slot")
+		}
+		time.Sleep(time.Millisecond)
+	}
+
+	start := time.Now()
+	var resp errorResponse
+	code := call(t, "POST", ts.URL+"/sessions/"+created.ID+"/solve", solveRequest{Solver: "greedy", TimeoutMillis: 50}, &resp)
+	waited := time.Since(start)
+	if code != http.StatusGatewayTimeout {
+		t.Fatalf("queued solve past its deadline: status %d (%s), want 504", code, resp.Error)
+	}
+	if waited < 50*time.Millisecond || waited > 4*time.Second {
+		t.Fatalf("queued solve answered after %v, want about its 50ms timeout", waited)
+	}
+	var st statusResponse
+	call(t, "GET", ts.URL+"/sessions/"+created.ID, nil, &st)
+	if st.Solves != 0 || s.m.solveErrors.Value() != 0 {
+		t.Fatalf("the timed-out request ran: %d solves, %v solve errors", st.Solves, s.m.solveErrors.Value())
+	}
+
+	free()
+	if code := <-held; code != http.StatusOK {
+		t.Fatalf("blocking solve: status %d", code)
+	}
+	// With the slot free, the same timeout is ample.
+	if code := call(t, "POST", ts.URL+"/sessions/"+created.ID+"/solve", solveRequest{Solver: "greedy", TimeoutMillis: 5000}, nil); code != http.StatusOK {
+		t.Fatalf("solve with a free slot: status %d", code)
+	}
+}
+
 func TestIdleReaperAndLRUEviction(t *testing.T) {
 	now := time.Unix(1700000000, 0)
 	clock := func() time.Time { return now }
@@ -366,9 +421,23 @@ func TestIdleReaperAndLRUEviction(t *testing.T) {
 
 func TestMetricsEndpoint(t *testing.T) {
 	_, ts := newTestServer(t, Config{})
+	sc := testScenario(t)
 	var created createResponse
 	call(t, "POST", ts.URL+"/sessions", createRequest{Name: "test"}, &created)
 	call(t, "POST", ts.URL+"/sessions/"+created.ID+"/solve", solveRequest{Solver: "greedy"}, nil)
+	// A second session of the scenario forks twice: on its first
+	// removal, then detached on its first source delta. Forks copy the
+	// prepared evidence, so they are timed as forks, not as Prepares.
+	var other createResponse
+	call(t, "POST", ts.URL+"/sessions", createRequest{Name: "test"}, &other)
+	if code := call(t, "POST", ts.URL+"/sessions/"+other.ID+"/remove",
+		removeRequest{Tuples: []wireTuple{wireOf(sc.J.All()[0])}}, nil); code != http.StatusOK {
+		t.Fatalf("remove: status %d", code)
+	}
+	if code := call(t, "POST", ts.URL+"/sessions/"+other.ID+"/source-delta",
+		sourceDeltaRequest{Remove: []wireTuple{wireOf(sc.I.All()[0])}}, nil); code != http.StatusOK {
+		t.Fatalf("source delta: status %d", code)
+	}
 
 	resp, err := http.Get(ts.URL + "/metrics")
 	if err != nil {
@@ -378,10 +447,14 @@ func TestMetricsEndpoint(t *testing.T) {
 	b, _ := io.ReadAll(resp.Body)
 	out := string(b)
 	for _, want := range []string{
-		"serve_sessions_created_total 1",
+		"serve_sessions_created_total 2",
 		"serve_prepare_cache_misses_total 1",
+		"serve_prepare_cache_hits_total 1",
 		`serve_solves_total{solver="greedy"} 1`,
 		"serve_prepare_seconds_count 1",
+		"serve_fork_seconds_count 2",
+		"serve_session_forks_total 2",
+		"# TYPE serve_fork_seconds histogram",
 		`serve_solve_seconds_count{solver="greedy"} 1`,
 		"# TYPE serve_solve_seconds histogram",
 	} {
